@@ -88,13 +88,11 @@ void SnapshotBuilder::set_serve_chaos(const chaos::FaultSchedule& schedule) {
   }
 }
 
-std::size_t SnapshotBuilder::inject(Coord c) {
-  // Write-ahead: the record must be durable before the state changes, so a
-  // crash between the two leaves the journal a superset of the applied
-  // state (replay is idempotent — re-injecting a faulty node is a no-op).
-  if (journal_ != nullptr) {
-    journal_->append(JournalRecord{next_epoch_.load(std::memory_order_relaxed), c});
-  }
+std::size_t SnapshotBuilder::apply_injection(Coord c) {
+  // A disabled block node that turns faulty changes no block (empty delta)
+  // but does change the fault set, and with it the MCC and ground-truth
+  // planes: only a node that was already faulty leaves the world as is.
+  if (!state_.faults().contains(c)) world_changed_ = true;
   state_.inject_fault(c);
   const std::size_t delta = state_.last_changed().size();
   if (delta > 0) {
@@ -103,6 +101,16 @@ std::size_t SnapshotBuilder::inject(Coord c) {
     stats_.relabeled_nodes += static_cast<std::int64_t>(delta);
   }
   return delta;
+}
+
+std::size_t SnapshotBuilder::inject(Coord c) {
+  // Write-ahead: the record must be durable before the state changes, so a
+  // crash between the two leaves the journal a superset of the applied
+  // state (replay is idempotent — re-injecting a faulty node is a no-op).
+  if (journal_ != nullptr) {
+    journal_->append(JournalRecord{next_epoch_.load(std::memory_order_relaxed), c});
+  }
+  return apply_injection(c);
 }
 
 std::uint64_t SnapshotBuilder::publish() {
@@ -146,6 +154,10 @@ std::uint64_t SnapshotBuilder::publish() {
                           stats_.pending_injections);
     snap = std::make_unique<const RoutingSnapshot>(mesh(), state_.faults(), epoch,
                                                    scratch_);
+  } else if (!world_changed_) {
+    // The store already serves the live world: share it under the new epoch.
+    snap = std::make_unique<const RoutingSnapshot>(store_.writer_current(), epoch);
+    ++stats_.restamped_epochs;
   } else {
     snap = std::make_unique<const RoutingSnapshot>(state_, epoch, scratch_);
   }
@@ -153,6 +165,7 @@ std::uint64_t SnapshotBuilder::publish() {
   next_epoch_.store(epoch + 1, std::memory_order_relaxed);
   ++stats_.published;
   stats_.pending_injections = 0;
+  world_changed_ = false;
   return store_.publish(std::move(snap));
 }
 
@@ -169,13 +182,7 @@ void SnapshotBuilder::enqueue(Coord c) {
     journal_->append(JournalRecord{
         next_epoch_.load(std::memory_order_relaxed) + pending_.size(), c});
   }
-  state_.inject_fault(c);
-  const std::size_t delta = state_.last_changed().size();
-  if (delta > 0) {
-    ++stats_.injections;
-    ++stats_.pending_injections;
-    stats_.relabeled_nodes += static_cast<std::int64_t>(delta);
-  }
+  apply_injection(c);
   pending_.push_back(PendingEpoch{c, state_.faults()});
 }
 
@@ -230,6 +237,7 @@ std::uint64_t SnapshotBuilder::flush(
   }
   pending_.clear();
   stats_.pending_injections = 0;
+  world_changed_ = false;
   // Per-epoch share of the flight's wall time: the batched path amortizes
   // the sweeps, so this is the number that must not regress at flight=1 and
   // must drop at flight>=4 (BENCH_serve.json rebuild_p99_us).

@@ -26,6 +26,11 @@
 //     after dropped publications), the quantity the serve layer's
 //     max-staleness guard bounds.
 //
+// Re-stamp: an injection that changes nothing (a duplicate report of a node
+// already faulty) leaves the world as the store already serves it,
+// so its publish shares the current snapshot's world under the new epoch —
+// no kernel runs, no boundary walk, and nothing to free when it retires.
+//
 // Epoch pipeline (DESIGN §15): enqueue() queues each injection as its own
 // pending epoch; flush() publishes the whole flight in epoch order, and with
 // >= 2 pending epochs builds every snapshot in ONE batched SoA pass
@@ -68,6 +73,7 @@ struct BuilderStats {
   std::uint64_t forced_rebuilds = 0;     ///< watchdog-forced from-scratch rebuilds
   std::uint64_t recovered_records = 0;   ///< journal records replayed at recovery
   std::uint64_t batched_epochs = 0;      ///< epochs published through the SoA flight path
+  std::uint64_t restamped_epochs = 0;    ///< publishes that re-stamped an unchanged world
 };
 
 class SnapshotBuilder {
@@ -110,7 +116,10 @@ class SnapshotBuilder {
   /// Freeze the live state into a new snapshot (next epoch) and publish it.
   /// Returns the published epoch — which armed chaos may leave behind
   /// world_epoch() (pubdrop) — and publishing with no pending injections is
-  /// allowed (an identical world under a new epoch).
+  /// allowed (an identical world under a new epoch). When no injection has
+  /// changed the fault set since the last publish that landed, the current
+  /// snapshot's world is re-stamped under the new epoch instead of rebuilt
+  /// (a watchdog-forced rebuild still rebuilds from scratch).
   std::uint64_t publish();
 
   /// inject() + publish() — the one-disturbance-one-epoch convenience.
@@ -165,6 +174,10 @@ class SnapshotBuilder {
   [[nodiscard]] std::unique_ptr<const RoutingSnapshot> recover_snapshot(
       const std::string& journal_path);
 
+  /// Inject `c` into state_ and account it in stats_ and world_changed_;
+  /// returns the delta size. The shared tail of inject() and enqueue().
+  std::size_t apply_injection(Coord c);
+
   /// One queued epoch of a flight: the injected site plus the cumulative
   /// fault world the epoch must publish (captured at enqueue() time, since
   /// the live state keeps advancing under later enqueues).
@@ -183,6 +196,9 @@ class SnapshotBuilder {
   std::vector<chaos::ServeChaosEvent> chaos_events_;  ///< builder kinds only
   std::uint64_t publish_ordinal_ = 0;                 ///< 1-based chaos SEQ counter
   std::vector<PendingEpoch> pending_;                 ///< flight queued by enqueue()
+  /// The fault set changed since the last publish that landed, so the
+  /// store's current snapshot no longer shows the live world.
+  bool world_changed_ = false;
   BatchRebuilder rebuilder_;                          ///< retained flight buffers
   SnapshotStore store_;  ///< last: its initial snapshot is built from state_
 };

@@ -51,98 +51,110 @@ fault::BlockSet build_blocks_scratch(const Mesh2D& mesh, const fault::FaultSet& 
 
 }  // namespace
 
-RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, const fault::FaultSet& faults,
-                                 std::uint64_t epoch, SnapshotScratch& scratch)
-    : epoch_(epoch),
-      mesh_(mesh),
-      faults_(faults),
-      blocks_(build_blocks_scratch(mesh_, faults_, scratch.block)),
-      boundary_(mesh_, blocks_) {
-  info::obstacle_mask(mesh_, blocks_, fb_mask_);
+RoutingSnapshot::World::World(const Mesh2D& mesh_in, const fault::FaultSet& faults_in,
+                              SnapshotScratch& scratch)
+    : mesh(mesh_in),
+      faults(faults_in),
+      blocks(build_blocks_scratch(mesh, faults, scratch.block)),
+      boundary(mesh, blocks) {
+  info::obstacle_mask(mesh, blocks, fb_mask);
 #if defined(MESHROUTE_FORCE_SCALAR)
-  info::compute_safety_levels(mesh_, fb_mask_, fb_safety_);
+  info::compute_safety_levels(mesh, fb_mask, fb_safety);
 #else
   // The block builder leaves its final obstacle plane (the union of the
   // block rects) in the scratch; feed it straight into the safety sweep.
-  info::compute_safety_levels(mesh_, scratch.block.bad_plane, fb_safety_);
+  info::compute_safety_levels(mesh, scratch.block.bad_plane, fb_safety);
 #endif
   finish_derived(scratch);
 }
+
+RoutingSnapshot::World::World(const dynamic::DynamicMeshState& state, SnapshotScratch& scratch)
+    : mesh(state.mesh()),
+      faults(state.faults()),
+      blocks(block_set_from_state(state)),
+      boundary(mesh, blocks) {
+  // The expensive faulty-block fixpoints arrive pre-maintained in O(|delta|)
+  // per injection; adopting them here is two flat plane copies.
+  fb_mask = state.obstacle_mask();
+  fb_safety = state.safety();
+  finish_derived(scratch);
+}
+
+RoutingSnapshot::World::World(const Mesh2D& mesh_in, SnapshotParts parts)
+    : mesh(mesh_in),
+      faults(std::move(parts.faults)),
+      blocks(std::move(parts.blocks)),
+      mcc1(std::move(parts.mcc1)),
+      mcc2(std::move(parts.mcc2)),
+      boundary(mesh, blocks),
+      fb_safety(std::move(parts.fb_safety)),
+      mcc1_safety(std::move(parts.mcc1_safety)),
+      mcc2_safety(std::move(parts.mcc2_safety)) {
+  faulty_mask = faults.mask();
+  info::obstacle_mask(mesh, blocks, fb_mask);
+  info::obstacle_mask(mesh, mcc1, mcc1_mask);
+  info::obstacle_mask(mesh, mcc2, mcc2_mask);
+}
+
+void RoutingSnapshot::World::finish_derived(SnapshotScratch& scratch) {
+  faulty_mask = faults.mask();
+  fault::build_mcc(mesh, faults, fault::MccKind::TypeOne, mcc1, scratch.mcc1);
+  fault::build_mcc(mesh, faults, fault::MccKind::TypeTwo, mcc2, scratch.mcc2);
+  info::obstacle_mask(mesh, mcc1, mcc1_mask);
+  info::obstacle_mask(mesh, mcc2, mcc2_mask);
+#if defined(MESHROUTE_FORCE_SCALAR)
+  info::compute_safety_levels(mesh, mcc1_mask, mcc1_safety);
+  info::compute_safety_levels(mesh, mcc2_mask, mcc2_safety);
+#else
+  info::compute_safety_levels(mesh, scratch.mcc1.labeled_plane, mcc1_safety);
+  info::compute_safety_levels(mesh, scratch.mcc2.labeled_plane, mcc2_safety);
+#endif
+}
+
+RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, const fault::FaultSet& faults,
+                                 std::uint64_t epoch, SnapshotScratch& scratch)
+    : epoch_(epoch), world_(std::make_shared<const World>(mesh, faults, scratch)) {}
 
 RoutingSnapshot::RoutingSnapshot(const dynamic::DynamicMeshState& state, std::uint64_t epoch,
                                  SnapshotScratch& scratch)
-    : epoch_(epoch),
-      mesh_(state.mesh()),
-      faults_(state.faults()),
-      blocks_(block_set_from_state(state)),
-      boundary_(mesh_, blocks_) {
-  // The expensive faulty-block fixpoints arrive pre-maintained in O(|delta|)
-  // per injection; adopting them here is two flat plane copies.
-  fb_mask_ = state.obstacle_mask();
-  fb_safety_ = state.safety();
-  finish_derived(scratch);
-}
+    : epoch_(epoch), world_(std::make_shared<const World>(state, scratch)) {}
 
 RoutingSnapshot::RoutingSnapshot(const Mesh2D& mesh, SnapshotParts parts, std::uint64_t epoch)
-    : epoch_(epoch),
-      mesh_(mesh),
-      faults_(std::move(parts.faults)),
-      blocks_(std::move(parts.blocks)),
-      mcc1_(std::move(parts.mcc1)),
-      mcc2_(std::move(parts.mcc2)),
-      boundary_(mesh_, blocks_),
-      fb_safety_(std::move(parts.fb_safety)),
-      mcc1_safety_(std::move(parts.mcc1_safety)),
-      mcc2_safety_(std::move(parts.mcc2_safety)) {
-  faulty_mask_ = faults_.mask();
-  info::obstacle_mask(mesh_, blocks_, fb_mask_);
-  info::obstacle_mask(mesh_, mcc1_, mcc1_mask_);
-  info::obstacle_mask(mesh_, mcc2_, mcc2_mask_);
-}
+    : epoch_(epoch), world_(std::make_shared<const World>(mesh, std::move(parts))) {}
 
-void RoutingSnapshot::finish_derived(SnapshotScratch& scratch) {
-  faulty_mask_ = faults_.mask();
-  fault::build_mcc(mesh_, faults_, fault::MccKind::TypeOne, mcc1_, scratch.mcc1);
-  fault::build_mcc(mesh_, faults_, fault::MccKind::TypeTwo, mcc2_, scratch.mcc2);
-  info::obstacle_mask(mesh_, mcc1_, mcc1_mask_);
-  info::obstacle_mask(mesh_, mcc2_, mcc2_mask_);
-#if defined(MESHROUTE_FORCE_SCALAR)
-  info::compute_safety_levels(mesh_, mcc1_mask_, mcc1_safety_);
-  info::compute_safety_levels(mesh_, mcc2_mask_, mcc2_safety_);
-#else
-  info::compute_safety_levels(mesh_, scratch.mcc1.labeled_plane, mcc1_safety_);
-  info::compute_safety_levels(mesh_, scratch.mcc2.labeled_plane, mcc2_safety_);
-#endif
-}
+RoutingSnapshot::RoutingSnapshot(const RoutingSnapshot& prev, std::uint64_t epoch)
+    : epoch_(epoch), world_(prev.world_) {}
 
 route::QueryView RoutingSnapshot::query_view() const noexcept {
   route::QueryView v;
-  v.mesh = &mesh_;
-  v.blocks = &blocks_;
-  v.boundary = &boundary_;
-  v.faulty_mask = &faulty_mask_;
-  v.fb_mask = &fb_mask_;
-  v.fb_safety = &fb_safety_;
-  v.mcc1_mask = &mcc1_mask_;
-  v.mcc1_safety = &mcc1_safety_;
-  v.mcc2_mask = &mcc2_mask_;
-  v.mcc2_safety = &mcc2_safety_;
+  const World& w = *world_;
+  v.mesh = &w.mesh;
+  v.blocks = &w.blocks;
+  v.boundary = &w.boundary;
+  v.faulty_mask = &w.faulty_mask;
+  v.fb_mask = &w.fb_mask;
+  v.fb_safety = &w.fb_safety;
+  v.mcc1_mask = &w.mcc1_mask;
+  v.mcc1_safety = &w.mcc1_safety;
+  v.mcc2_mask = &w.mcc2_mask;
+  v.mcc2_safety = &w.mcc2_safety;
   return v;
 }
 
 void RoutingSnapshot::reachability(Coord src, Grid<bool>& out) const {
-  cond::monotone_reachability(mesh_, faulty_mask_, src, out);
+  cond::monotone_reachability(world_->mesh, world_->faulty_mask, src, out);
 }
 
 bool RoutingSnapshot::truly_bad(Coord c, std::int64_t /*time*/) const {
-  return blocks_.is_block_node(c);
+  return world_->blocks.is_block_node(c);
 }
 
 void RoutingSnapshot::believed_blocks(Coord at, std::int64_t /*time*/,
                                       std::vector<Rect>& out) const {
   out.clear();
-  for (const std::int32_t id : boundary_.known_blocks(at)) {
-    out.push_back(blocks_.blocks()[static_cast<std::size_t>(id)].rect);
+  const std::vector<fault::FaultyBlock>& blocks = world_->blocks.blocks();
+  for (const std::int32_t id : world_->boundary.known_blocks(at)) {
+    out.push_back(blocks[static_cast<std::size_t>(id)].rect);
   }
 }
 

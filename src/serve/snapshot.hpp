@@ -15,6 +15,9 @@
 //     dynamic::DynamicMeshState's O(|delta|)-maintained blocks and safety
 //     grid straight in, so per-epoch rebuild work scales with the
 //     disturbance, not the mesh.
+// The built world is immutable and held by shared_ptr: when an injection
+// changes nothing, the re-stamp constructor republishes the previous world
+// under the new epoch without building anything.
 //
 // RoutingSnapshot implements route::FaultView (the frozen-world reading:
 // truth = its block set, belief = its boundary deposits, never stale), so
@@ -90,6 +93,12 @@ class RoutingSnapshot final : public route::FaultView {
   /// asserts the three-way equivalence epoch by epoch).
   RoutingSnapshot(const Mesh2D& mesh, SnapshotParts parts, std::uint64_t epoch);
 
+  /// Re-stamp: `prev`'s world published under a new epoch. No kernel runs
+  /// and nothing is copied — the two snapshots share one immutable world,
+  /// which lives until the last of them retires. This is the publish of an
+  /// injection that changed nothing (SnapshotBuilder::publish).
+  RoutingSnapshot(const RoutingSnapshot& prev, std::uint64_t epoch);
+
   RoutingSnapshot(const RoutingSnapshot&) = delete;
   RoutingSnapshot& operator=(const RoutingSnapshot&) = delete;
 
@@ -97,13 +106,15 @@ class RoutingSnapshot final : public route::FaultView {
   /// published rebuild.
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
-  [[nodiscard]] const Mesh2D& mesh() const noexcept { return mesh_; }
-  [[nodiscard]] const fault::FaultSet& faults() const noexcept { return faults_; }
-  [[nodiscard]] const fault::BlockSet& blocks() const noexcept { return blocks_; }
+  [[nodiscard]] const Mesh2D& mesh() const noexcept { return world_->mesh; }
+  [[nodiscard]] const fault::FaultSet& faults() const noexcept { return world_->faults; }
+  [[nodiscard]] const fault::BlockSet& blocks() const noexcept { return world_->blocks; }
   [[nodiscard]] const fault::MccSet& mcc(fault::MccKind kind) const noexcept {
-    return kind == fault::MccKind::TypeOne ? mcc1_ : mcc2_;
+    return kind == fault::MccKind::TypeOne ? world_->mcc1 : world_->mcc2;
   }
-  [[nodiscard]] const info::BoundaryInfoMap& boundary() const noexcept { return boundary_; }
+  [[nodiscard]] const info::BoundaryInfoMap& boundary() const noexcept {
+    return world_->boundary;
+  }
 
   /// The consolidated query surface over this snapshot. The view borrows
   /// the snapshot's planes: keep the snapshot alive (it is handed out as
@@ -121,24 +132,35 @@ class RoutingSnapshot final : public route::FaultView {
   [[nodiscard]] bool is_stale(Coord at, std::int64_t time) const override;
 
  private:
-  /// Shared tail of both ctors: ground-truth mask plus both MCC labelings
-  /// and their planes (the faulty-block planes come from the producer).
-  void finish_derived(SnapshotScratch& scratch);
+  /// Everything a snapshot serves, built by one of the three producers and
+  /// then never mutated, so re-stamped snapshots can share it.
+  struct World {
+    World(const Mesh2D& mesh, const fault::FaultSet& faults, SnapshotScratch& scratch);
+    World(const dynamic::DynamicMeshState& state, SnapshotScratch& scratch);
+    World(const Mesh2D& mesh, SnapshotParts parts);
+
+    /// Shared tail of the first two ctors: ground-truth mask plus both MCC
+    /// labelings and their planes (the faulty-block planes come from the
+    /// producer).
+    void finish_derived(SnapshotScratch& scratch);
+
+    Mesh2D mesh;
+    fault::FaultSet faults;
+    fault::BlockSet blocks;
+    fault::MccSet mcc1;
+    fault::MccSet mcc2;
+    info::BoundaryInfoMap boundary;
+    Grid<bool> faulty_mask;
+    Grid<bool> fb_mask;
+    Grid<bool> mcc1_mask;
+    Grid<bool> mcc2_mask;
+    info::SafetyGrid fb_safety;
+    info::SafetyGrid mcc1_safety;
+    info::SafetyGrid mcc2_safety;
+  };
 
   std::uint64_t epoch_;
-  Mesh2D mesh_;
-  fault::FaultSet faults_;
-  fault::BlockSet blocks_;
-  fault::MccSet mcc1_;
-  fault::MccSet mcc2_;
-  info::BoundaryInfoMap boundary_;
-  Grid<bool> faulty_mask_;
-  Grid<bool> fb_mask_;
-  Grid<bool> mcc1_mask_;
-  Grid<bool> mcc2_mask_;
-  info::SafetyGrid fb_safety_;
-  info::SafetyGrid mcc1_safety_;
-  info::SafetyGrid mcc2_safety_;
+  std::shared_ptr<const World> world_;
 };
 
 }  // namespace meshroute::serve

@@ -68,6 +68,13 @@ class SnapshotStore {
   /// takes the writer mutex, never touches reader slots except to load them.
   std::uint64_t publish(std::unique_ptr<const RoutingSnapshot> snap);
 
+  /// The currently-published snapshot, for the writer only: the writer is
+  /// the one thread that retires and frees snapshots, so the reference
+  /// stays valid until its own next publish().
+  [[nodiscard]] const RoutingSnapshot& writer_current() const noexcept {
+    return *current_.load(std::memory_order_relaxed);
+  }
+
   /// Epoch of the currently-published snapshot.
   [[nodiscard]] std::uint64_t current_epoch() const noexcept {
     return epoch_.load(std::memory_order_seq_cst);

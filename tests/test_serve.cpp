@@ -22,7 +22,10 @@
 #include "common/rng.hpp"
 #include "dynamic/dynamic_state.hpp"
 #include "experiment/json.hpp"
+#include "fault/block_model.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/mcc_model.hpp"
+#include "info/safety_level.hpp"
 #include "obs/live.hpp"
 #include "obs/trace.hpp"
 #include "route/query.hpp"
@@ -195,6 +198,181 @@ TEST(SnapshotBuilder, FlushedFlightMatchesSequentialEpochByEpoch) {
   EXPECT_EQ(fin_flight->epoch(), fin_seq->epoch());
   EXPECT_EQ(*fin_flight->query_view().fb_mask, *fin_seq->query_view().fb_mask);
   EXPECT_EQ(*fin_flight->query_view().fb_safety, *fin_seq->query_view().fb_safety);
+}
+
+// ---- Boundary deposits and the re-stamp publish ---------------------------
+
+/// Rects whose information is deposited at `c`, sorted — block ids may
+/// differ between construction paths, the deposited rectangles may not.
+std::vector<Rect> known_rects(const serve::RoutingSnapshot& snap, Coord c) {
+  std::vector<Rect> rects;
+  for (const std::int32_t id : snap.boundary().known_blocks(c)) {
+    rects.push_back(snap.blocks().blocks()[static_cast<std::size_t>(id)].rect);
+  }
+  std::sort(rects.begin(), rects.end(), [](const Rect& a, const Rect& b) {
+    return a.ymin != b.ymin ? a.ymin < b.ymin : a.xmin < b.xmin;
+  });
+  return rects;
+}
+
+/// Every plane a query can observe, and every node's boundary deposits.
+void expect_same_world(const serve::RoutingSnapshot& a, const serve::RoutingSnapshot& b) {
+  EXPECT_EQ(a.faults().mask(), b.faults().mask());
+  EXPECT_EQ(sorted_rects(a.blocks()), sorted_rects(b.blocks()));
+  EXPECT_EQ(a.blocks().labels(), b.blocks().labels());
+  const route::QueryView va = a.query_view();
+  const route::QueryView vb = b.query_view();
+  EXPECT_EQ(*va.faulty_mask, *vb.faulty_mask);
+  EXPECT_EQ(*va.fb_mask, *vb.fb_mask);
+  EXPECT_EQ(*va.fb_safety, *vb.fb_safety);
+  EXPECT_EQ(*va.mcc1_mask, *vb.mcc1_mask);
+  EXPECT_EQ(*va.mcc1_safety, *vb.mcc1_safety);
+  EXPECT_EQ(*va.mcc2_mask, *vb.mcc2_mask);
+  EXPECT_EQ(*va.mcc2_safety, *vb.mcc2_safety);
+  EXPECT_EQ(a.boundary().deposited_entries(), b.boundary().deposited_entries());
+  EXPECT_EQ(a.boundary().covered_nodes(), b.boundary().covered_nodes());
+  a.mesh().for_each_node(
+      [&](Coord c) { ASSERT_EQ(known_rects(a, c), known_rects(b, c)) << to_string(c); });
+}
+
+TEST(RoutingSnapshot, ThreeConstructorsAgreeOnDepositsAndPlanes) {
+  const Mesh2D mesh = Mesh2D::square(48);
+  Rng rng(4242);
+  const fault::FaultSet faults = fault::uniform_random_faults(mesh, 90, rng);
+
+  serve::SnapshotScratch scratch;
+  const serve::RoutingSnapshot scratch_built(mesh, faults, 1, scratch);
+
+  dynamic::DynamicMeshState state(mesh);
+  for (const Coord c : faults.faults()) state.inject_fault(c);
+  const serve::RoutingSnapshot delta_fed(state, 1, scratch);
+
+  serve::SnapshotParts parts;
+  parts.faults = faults;
+  parts.blocks = fault::build_faulty_blocks(mesh, faults);
+  parts.mcc1 = fault::build_mcc(mesh, faults, fault::MccKind::TypeOne);
+  parts.mcc2 = fault::build_mcc(mesh, faults, fault::MccKind::TypeTwo);
+  parts.fb_safety = info::compute_safety_levels(mesh, info::obstacle_mask(mesh, parts.blocks));
+  parts.mcc1_safety = info::compute_safety_levels(mesh, info::obstacle_mask(mesh, parts.mcc1));
+  parts.mcc2_safety = info::compute_safety_levels(mesh, info::obstacle_mask(mesh, parts.mcc2));
+  const serve::RoutingSnapshot from_parts(mesh, std::move(parts), 1);
+
+  ASSERT_GT(scratch_built.boundary().deposited_entries(), 0u);
+  expect_same_world(scratch_built, delta_fed);
+  expect_same_world(scratch_built, from_parts);
+}
+
+/// The world a from-scratch build of `builder`'s live fault set produces.
+std::unique_ptr<const serve::RoutingSnapshot> rebuilt(const serve::SnapshotBuilder& builder) {
+  serve::SnapshotScratch scratch;
+  return std::make_unique<const serve::RoutingSnapshot>(builder.mesh(), builder.state().faults(),
+                                                        /*epoch=*/0, scratch);
+}
+
+TEST(SnapshotBuilder, UnchangedInjectRestampsTheCurrentWorld) {
+  const Mesh2D mesh = Mesh2D::square(40);
+  Rng rng(11);
+  const fault::FaultSet initial = fault::uniform_random_faults(mesh, 60, rng);
+  serve::SnapshotBuilder builder(mesh, initial.faults());
+  serve::SnapshotStore::Reader reader(builder.store());
+
+  const Coord fresh{3, 36};
+  ASSERT_FALSE(initial.contains(fresh));
+  EXPECT_EQ(builder.inject_publish(fresh), 1u);
+  EXPECT_EQ(builder.stats().restamped_epochs, 0u);
+  const serve::SnapshotStore::Ref before = reader.acquire();
+
+  // A duplicate report: the node is already faulty, nothing changes, and
+  // the next epoch shares the world the store already serves.
+  {
+    serve::SnapshotStore::Reader second(builder.store());
+    EXPECT_EQ(builder.inject(fresh), 0u);
+    EXPECT_EQ(builder.publish(), 2u);
+    EXPECT_EQ(builder.stats().restamped_epochs, 1u);
+    const serve::SnapshotStore::Ref after = second.acquire();
+    EXPECT_EQ(after->epoch(), 2u);
+    EXPECT_EQ(&after->blocks(), &before->blocks());
+    expect_same_world(*after, *before);
+    expect_same_world(*after, *rebuilt(builder));
+  }
+
+  // The same through the protocol front door: epoch + 1, reply unchanged.
+  serve::QueryServer server(builder);
+  const serve::QueryServer::InjectResult r = server.inject_and_publish(initial.faults().front());
+  EXPECT_EQ(r.changed, 0u);
+  EXPECT_EQ(r.epoch, 3u);
+  EXPECT_EQ(builder.stats().restamped_epochs, 2u);
+  serve::SnapshotStore::Reader third(builder.store());
+  expect_same_world(*third.acquire(), *rebuilt(builder));
+}
+
+TEST(SnapshotBuilder, DisabledNodeInjectRebuildsThoughNoBlockChanges) {
+  // Two diagonal faults disable (11, 10) and (10, 11) into one 2x2 block.
+  // Turning a disabled node faulty relabels nothing (changed=0), but the
+  // fault set — and with it the MCC and ground-truth planes — changes.
+  const Mesh2D mesh = Mesh2D::square(24);
+  const std::vector<Coord> initial{{10, 10}, {11, 11}, {3, 18}};
+  serve::SnapshotBuilder builder(mesh, initial);
+  serve::SnapshotStore::Reader reader(builder.store());
+  const Coord disabled{11, 10};
+  ASSERT_EQ(reader.acquire()->blocks().label(disabled), fault::NodeLabel::Disabled);
+
+  EXPECT_EQ(builder.inject(disabled), 0u);
+  EXPECT_EQ(builder.publish(), 1u);
+  EXPECT_EQ(builder.stats().restamped_epochs, 0u);
+  const serve::SnapshotStore::Ref snap = reader.acquire();
+  EXPECT_TRUE(snap->faults().contains(disabled));
+  EXPECT_EQ(snap->blocks().label(disabled), fault::NodeLabel::Faulty);
+  expect_same_world(*snap, *rebuilt(builder));
+}
+
+TEST(SnapshotBuilder, DuplicateInjectAfterDroppedPublishRebuilds) {
+  const Mesh2D mesh = Mesh2D::square(40);
+  Rng rng(12);
+  const fault::FaultSet initial = fault::uniform_random_faults(mesh, 60, rng);
+  serve::SnapshotBuilder builder(mesh, initial.faults());
+  builder.set_serve_chaos(chaos::FaultSchedule::parse("pubdrop=1"));
+  serve::SnapshotStore::Reader reader(builder.store());
+
+  const Coord fresh{36, 3};
+  ASSERT_FALSE(initial.contains(fresh));
+  ASSERT_GT(builder.inject(fresh), 0u);
+  EXPECT_EQ(builder.publish(), 0u);  // dropped: the store keeps epoch 0
+  EXPECT_EQ(builder.epoch_lag(), 1u);
+  EXPECT_FALSE(reader.acquire()->faults().contains(fresh));
+
+  // The duplicate changes nothing, but the store is behind the state: the
+  // publish must rebuild and carry the dropped injection.
+  EXPECT_EQ(builder.inject(fresh), 0u);
+  EXPECT_EQ(builder.publish(), 2u);
+  EXPECT_EQ(builder.stats().restamped_epochs, 0u);
+  EXPECT_EQ(builder.epoch_lag(), 0u);
+  const serve::SnapshotStore::Ref snap = reader.acquire();
+  EXPECT_TRUE(snap->faults().contains(fresh));
+  expect_same_world(*snap, *rebuilt(builder));
+
+  // From here a duplicate re-stamps again.
+  builder.inject(fresh);
+  EXPECT_EQ(builder.publish(), 3u);
+  EXPECT_EQ(builder.stats().restamped_epochs, 1u);
+}
+
+TEST(SnapshotBuilder, WatchdogPublishRebuildsEvenWhenNothingChanged) {
+  const Mesh2D mesh = Mesh2D::square(32);
+  Rng rng(13);
+  const fault::FaultSet initial = fault::uniform_random_faults(mesh, 40, rng);
+  serve::SnapshotBuilder builder(mesh, initial.faults());
+  builder.set_serve_chaos(chaos::FaultSchedule::parse("bstall=1"));
+  serve::SnapshotStore::Reader reader(builder.store());
+  const serve::SnapshotStore::Ref before = reader.acquire();
+  EXPECT_EQ(builder.inject(initial.faults().front()), 0u);
+  EXPECT_EQ(builder.publish(), 1u);
+  EXPECT_EQ(builder.stats().forced_rebuilds, 1u);
+  EXPECT_EQ(builder.stats().restamped_epochs, 0u);
+  serve::SnapshotStore::Reader second(builder.store());
+  const serve::SnapshotStore::Ref after = second.acquire();
+  EXPECT_NE(&after->blocks(), &before->blocks());
+  expect_same_world(*after, *before);
 }
 
 // ---- Batch answers are bit-identical to single queries --------------------
@@ -554,6 +732,9 @@ TEST(ServeConcurrency, ReadersConsistentWithSomePublishedEpoch) {
   for (Coord& c : sites) {
     c = {static_cast<Dist>(rng.uniform(0, 23)), static_cast<Dist>(rng.uniform(0, 23))};
   }
+  // Every fourth epoch repeats the previous site, so re-stamped publishes
+  // (a world shared by two snapshots) race the readers too.
+  for (std::size_t i = 3; i < sites.size(); i += 4) sites[i] = sites[i - 1];
   const std::vector<route::QuerySpec> specs = fixed_specs(mesh, 48, 29);
 
   // Single-threaded oracle: expected decide answers per published epoch.
@@ -609,6 +790,7 @@ TEST(ServeConcurrency, ReadersConsistentWithSomePublishedEpoch) {
   EXPECT_EQ(non_monotone.load(), 0);
   EXPECT_GT(batches.load(), 0);
   EXPECT_EQ(builder.store().current_epoch(), static_cast<std::uint64_t>(kEpochs));
+  EXPECT_GE(builder.stats().restamped_epochs, 4u);
 }
 
 }  // namespace

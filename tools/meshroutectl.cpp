@@ -560,9 +560,7 @@ int run_command(const Options& opt) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--help") {
       print_usage(std::cout);
@@ -592,4 +590,18 @@ int main(int argc, char** argv) {
     if (opt.trace != "-") std::cout << "wrote " << opt.trace << "\n";
   }
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Input the flag parser accepts can still be rejected deeper down (a mesh
+  // dimension of 0, more faults than nodes, a chaos site off the mesh):
+  // report it like a bad flag instead of aborting.
+  try {
+    return run_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }
